@@ -59,13 +59,17 @@ bench-smoke:
 # Sharded smoke: the range-sharded store on the simulated device —
 # mixed workload across 4 shards (shared cache/pool/controller), then
 # a zipfian hot-shard run showing the skewed load landing on shard 0
-# while the shared stall budget leaves cold shards unthrottled. The
-# full shards 1/4/8 matrix and the bare-vs-shards=1 overhead numbers
-# live in BENCH_sharded.json.
+# while the shared stall budget leaves cold shards unthrottled, then
+# 8 clients issuing synced 8-key cross-shard batches (two-phase
+# commit) and 8-key MultiGets in virtual time. The full shards 1/4/8
+# matrix and the bare-vs-shards=1 overhead numbers live in
+# BENCH_sharded.json.
 bench-sharded-smoke:
 	$(GO) run ./cmd/dbbench -device xpoint -shards 4 -benchmarks mixed -threads 8 -duration 3s
 	$(GO) run ./cmd/dbbench -device xpoint -shards 4 -hot_shard_skew 1.3 \
 		-benchmarks readrandomwriterandom -threads 8 -duration 2s -num 8000
+	$(GO) run ./cmd/dbbench -device xpoint -shards 4 -threads 8 -benchmarks crossbatch \
+		-duration 1s -num 8000
 
 # Compaction smoke: fillrandom on the simulated device at
 # max_subcompactions 1 vs 4, printing the BENCH_compaction summary

@@ -10,6 +10,7 @@
 //	dbbench -device xpoint -faultprob 0.001 -faultheal 2s  # recovery under load
 //	dbbench -device xpoint -shards 4 -benchmarks mixed     # range-sharded store
 //	dbbench -device xpoint -shards 8 -hot_shard_skew 1.2   # zipfian hot shard
+//	dbbench -device xpoint -shards 4 -benchmarks crossbatch # 8-key cross-shard batches
 //	dbbench -device xpoint -disk_quota 256000000 -quota_cycle 2s  # full-disk cycling
 package main
 
@@ -39,7 +40,7 @@ func main() {
 	var (
 		device     = flag.String("device", "xpoint", "simulated device: sata | pcie | xpoint | nvm | null")
 		path       = flag.String("path", "", "run on a real directory with the real clock instead of a simulated device")
-		benchmarks = flag.String("benchmarks", "readrandomwriterandom", "comma-free single benchmark: fillrandom | readrandom | readrandomwriterandom | mixed")
+		benchmarks = flag.String("benchmarks", "readrandomwriterandom", "comma-free single benchmark: fillrandom | readrandom | readrandomwriterandom | mixed | crossbatch")
 		threads    = flag.Int("threads", 4, "concurrent client threads")
 		duration   = flag.Duration("duration", 10*time.Second, "measured duration")
 		num        = flag.Int("num", 24000, "distinct keys")
@@ -82,6 +83,9 @@ func main() {
 	}
 	if *hotSkew != 0 && *hotSkew <= 1 {
 		log.Fatalf("-hot_shard_skew must be > 1 (zipf s parameter), got %g", *hotSkew)
+	}
+	if *benchmarks == "crossbatch" && *shards < 2 {
+		log.Fatalf("-benchmarks crossbatch requires -shards > 1")
 	}
 	if *hotSkew > 1 && *shards < 2 {
 		log.Fatalf("-hot_shard_skew requires -shards > 1")
@@ -498,6 +502,15 @@ func runBenchmark(clk clock.Clock, db workload.KV, bench string, threads int, du
 			log.Fatalf("preload: %v", err)
 		}
 		cfg.ReadRatio = 1 - writeRatio
+	case "crossbatch":
+		// 8-key batches spanning every shard: synced cross-shard
+		// Applies (two-phase commit) against MultiGets, mixed by
+		// -write_ratio.
+		if err := workload.Preload(db, num, valueSize); err != nil {
+			log.Fatalf("preload: %v", err)
+		}
+		cfg.ReadRatio = 1 - writeRatio
+		cfg.BatchKeys = 8
 	case "mixed":
 		// Dedicated reader and writer pools: read latency here is the
 		// pure Get path under concurrent write pressure, the mix the

@@ -216,6 +216,27 @@ func (s *Set) installCurrent(nv *Version) {
 	}
 }
 
+// RefFile pins one file independently of any version, so a long
+// reader (the engine's scrubber) can keep a single SST alive without
+// holding the whole tree. The caller must already reach f through a
+// version reference, so the count is above zero.
+func (s *Set) RefFile(f *FileMeta) { f.refs.Add(1) }
+
+// UnrefFile drops one file reference. Dropping the last one reports
+// the file as a zombie, exactly as a version release does. Safe to
+// call from any goroutine, and on a nil Set (free-standing test
+// versions), which only counts.
+func (s *Set) UnrefFile(f *FileMeta) {
+	n := f.refs.Add(-1)
+	if n == 0 {
+		if s != nil {
+			s.noteZombie(f.Num)
+		}
+	} else if n < 0 {
+		panic("manifest: FileMeta refcount below zero")
+	}
+}
+
 // noteZombie records that file num is no longer referenced by any
 // version. Called by Version.release, possibly from a reader
 // goroutine.

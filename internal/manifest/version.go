@@ -116,14 +116,7 @@ func (v *Version) Refs() int32 { return v.refs.Load() }
 func (v *Version) release() {
 	for l := range v.Files {
 		for _, f := range v.Files[l] {
-			n := f.refs.Add(-1)
-			if n == 0 {
-				if v.set != nil {
-					v.set.noteZombie(f.Num)
-				}
-			} else if n < 0 {
-				panic("manifest: FileMeta refcount below zero")
-			}
+			v.set.UnrefFile(f)
 		}
 	}
 }

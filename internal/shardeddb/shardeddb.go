@@ -43,7 +43,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"xpointdb/internal/batch"
@@ -135,16 +134,24 @@ type DB struct {
 
 	metaFS vfs.FS
 
-	// Coordinator (two-phase commit) state — txn.go.
-	txnMu      sync.Mutex
+	// Coordinator (two-phase commit) state — txn.go. txnMu is a clock
+	// mutex and is never held across I/O: commit records are group
+	// committed, and while txnWriting is set the one writer (a commit
+	// leader, or Close) owns the log fields txnLog, txnFile, txnName
+	// and txnGen without the mutex. txnCond wakes committers when a
+	// group completes.
+	txnMu      clock.Mutex
+	txnCond    clock.Cond
+	txnQueue   []*commitReq // committers waiting for the next group
+	txnWriting bool
 	txnLog     *wal.Writer
 	txnFile    vfs.File
 	txnName    string
 	txnEpoch   uint32
 	txnGen     int // rotation generation within the epoch
 	txnCounter uint32
-	txnPending map[uint64]bool
-	txnDirty   int // commits since last rotation
+	txnPending map[uint64]bool // durably committed, phase 2 not yet done
+	txnDirty   int             // commits since last rotation
 
 	closed atomic.Bool
 
@@ -195,8 +202,10 @@ func Open(opts Options) (*DB, error) {
 		opts:       opts,
 		clk:        clk,
 		boundaries: opts.Boundaries,
+		txnMu:      clk.NewMutex(),
 		txnPending: make(map[uint64]bool),
 	}
+	db.txnCond = clk.NewCond(db.txnMu)
 
 	// Shared resources.
 	cacheSize := opts.Engine.BlockCacheSize
@@ -392,32 +401,56 @@ func (db *DB) Delete(key []byte) error {
 }
 
 // MultiGet looks up every key, returning parallel values/errors
-// slices. Lookups are grouped by shard and the groups run
-// concurrently, one goroutine per shard touched.
+// slices. The lookups run on the caller's goroutine, grouped by shard:
+// for the small, mostly cached batches this serves, spawning and
+// joining one goroutine per shard costs more than the Gets it would
+// overlap.
 func (db *DB) MultiGet(keys ...[]byte) ([][]byte, []error) {
 	values := make([][]byte, len(keys))
 	errs := make([]error, len(keys))
-	byShard := make(map[int][]int)
+	shardOf := make([]int, len(keys))
 	for i, k := range keys {
-		if err := checkKey(k); err != nil {
-			errs[i] = err
+		if errs[i] = checkKey(k); errs[i] != nil {
+			shardOf[i] = -1
 			continue
 		}
-		s := db.ShardForKey(k)
-		byShard[s] = append(byShard[s], i)
+		shardOf[i] = db.ShardForKey(k)
 	}
-	var wg sync.WaitGroup
-	for s, idxs := range byShard {
-		wg.Add(1)
-		go func(s int, idxs []int) {
-			defer wg.Done()
-			for _, i := range idxs {
-				values[i], errs[i] = db.shards[s].Get(keys[i])
+	for s, shard := range db.shards {
+		for i, k := range keys {
+			if shardOf[i] == s {
+				values[i], errs[i] = shard.Get(k)
 			}
-		}(s, idxs)
+		}
 	}
-	wg.Wait()
 	return values, errs
+}
+
+// fanOut runs fn(0), …, fn(n-1) concurrently (n ≥ 1) and returns once
+// every call has. The caller runs fn(0) itself and the rest run as clock
+// processes (clk.Go), joined through a clock Cond, so under the
+// simulator every participant is a kernel process and the wait lets
+// virtual time advance past it.
+func fanOut(clk clock.Clock, name string, n int, fn func(i int)) {
+	mu := clk.NewMutex()
+	joined := clk.NewCond(mu)
+	left := n - 1
+	for i := 1; i < n; i++ {
+		clk.Go(name, func() {
+			fn(i)
+			mu.Lock()
+			if left--; left == 0 {
+				joined.Signal()
+			}
+			mu.Unlock()
+		})
+	}
+	fn(0)
+	mu.Lock()
+	for left > 0 {
+		joined.Wait()
+	}
+	mu.Unlock()
 }
 
 // splitBatch routes b's operations into per-shard sub-batches.
@@ -535,30 +568,18 @@ func (db *DB) Close() error {
 		return ErrClosed
 	}
 	errs := make([]error, len(db.shards))
-	var wg sync.WaitGroup
-	for i, s := range db.shards {
-		wg.Add(1)
-		go func(i int, s *engine.DB) {
-			defer wg.Done()
-			errs[i] = s.Close()
-		}(i, s)
-	}
-	wg.Wait()
+	fanOut(db.clk, "shardeddb-close", len(db.shards), func(i int) {
+		errs[i] = db.shards[i].Close()
+	})
 	var err error
 	for i, e := range errs {
 		if e != nil && err == nil {
 			err = fmt.Errorf("shardeddb: close shard %d: %w", i, e)
 		}
 	}
-	db.txnMu.Lock()
-	if db.txnFile != nil {
-		if serr := db.txnLog.Sync(); serr != nil && err == nil {
-			err = fmt.Errorf("shardeddb: close: txn log sync: %w", serr)
-		}
-		_ = db.txnFile.Close()
-		db.txnFile = nil
+	if serr := db.closeTxnLog(); serr != nil && err == nil {
+		err = fmt.Errorf("shardeddb: close: txn log sync: %w", serr)
 	}
-	db.txnMu.Unlock()
 	db.closeShared()
 	return err
 }

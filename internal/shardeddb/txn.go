@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
 	"xpointdb/internal/batch"
 	"xpointdb/internal/engine"
@@ -97,17 +96,12 @@ func (db *DB) applyCross(parts map[int]*batch.Batch, syncWAL bool) error {
 		shardIDs = append(shardIDs, s)
 	}
 	prepErrs := make([]error, len(shardIDs))
-	var wg sync.WaitGroup
-	for i, s := range shardIDs {
-		wg.Add(1)
-		go func(i, s int) {
-			defer wg.Done()
-			var pb batch.Batch
-			pb.Put(prepKey, parts[s].Repr())
-			prepErrs[i] = db.shards[s].Apply(&pb, true)
-		}(i, s)
-	}
-	wg.Wait()
+	fanOut(db.clk, "shardeddb-prepare", len(shardIDs), func(i int) {
+		s := shardIDs[i]
+		var pb batch.Batch
+		pb.Put(prepKey, parts[s].Repr())
+		prepErrs[i] = db.shards[s].Apply(&pb, true)
+	})
 	for i, e := range prepErrs {
 		if e != nil {
 			// Presumed abort: best-effort removal of the prepares that
@@ -119,36 +113,22 @@ func (db *DB) applyCross(parts map[int]*batch.Batch, syncWAL bool) error {
 	}
 
 	// Commit point: the ID becomes durable in the coordinator log.
-	db.txnMu.Lock()
-	db.txnPending[id] = true
-	err := db.appendCommitLocked(id)
-	if err != nil {
-		delete(db.txnPending, id)
-		db.txnMu.Unlock()
+	if err := db.commitTxn(id); err != nil {
 		db.abortPrepares(shardIDs, prepErrs, prepKey)
 		db.txnAborts.Add(1)
 		return fmt.Errorf("shardeddb: commit record: %w", err)
 	}
-	db.txnDirty++
-	if db.txnDirty >= txnRotateEvery {
-		db.rotateTxnLogLocked()
-	}
-	db.txnMu.Unlock()
 	db.crossBatches.Add(1)
 
 	// Phase 2: apply the data and retire the prepare record, one
 	// engine batch per shard — they vanish or survive together.
 	applyErrs := make([]error, len(shardIDs))
-	for i, s := range shardIDs {
-		wg.Add(1)
-		go func(i, s int) {
-			defer wg.Done()
-			sub := parts[s]
-			sub.Delete(prepKey)
-			applyErrs[i] = db.shards[s].Apply(sub, syncWAL)
-		}(i, s)
-	}
-	wg.Wait()
+	fanOut(db.clk, "shardeddb-apply", len(shardIDs), func(i int) {
+		s := shardIDs[i]
+		sub := parts[s]
+		sub.Delete(prepKey)
+		applyErrs[i] = db.shards[s].Apply(sub, syncWAL)
+	})
 	for i, e := range applyErrs {
 		if e != nil {
 			// The transaction IS committed — its record is durable and
@@ -182,24 +162,120 @@ func (db *DB) abortPrepares(shardIDs []int, prepErrs []error, prepKey []byte) {
 	}
 }
 
-// appendCommitLocked writes and syncs one commit record. Caller holds
-// txnMu.
-func (db *DB) appendCommitLocked(id uint64) error {
+// commitReq is one transaction waiting for its commit record to become
+// durable.
+type commitReq struct {
+	id   uint64
+	done bool
+	err  error
+}
+
+// commitTxn makes id's commit record durable: the commit point. The
+// coordinator log is group-committed like the engine's WAL (paper
+// Algorithm 2). Committers queue under txnMu; whoever finds no write
+// in progress leads, writing every queued record and syncing once for
+// the whole group with txnMu released, while the others park on
+// txnCond. Returns only after the sync covering id's record, or with
+// the error that failed it.
+func (db *DB) commitTxn(id uint64) error {
+	req := &commitReq{id: id}
+	db.txnMu.Lock()
+	defer db.txnMu.Unlock()
+	db.txnQueue = append(db.txnQueue, req)
+	for !req.done {
+		if db.txnWriting {
+			db.txnCond.Wait()
+			continue
+		}
+		db.leadCommitGroupLocked()
+	}
+	return req.err
+}
+
+// leadCommitGroupLocked writes and syncs the queued commit records as
+// one group, marks them pending for phase 2, runs a log rotation if
+// one is due, and wakes the group. Called and returns with txnMu held;
+// drops it across the I/O, with txnWriting keeping every other writer
+// off the log.
+func (db *DB) leadCommitGroupLocked() {
+	group := db.txnQueue
+	db.txnQueue = nil
+	db.txnWriting = true
+	db.txnMu.Unlock()
+	err := db.appendCommits(group)
+	db.txnMu.Lock()
+	for _, r := range group {
+		r.done, r.err = true, err
+		if err == nil {
+			db.txnPending[r.id] = true
+		}
+	}
+	if err == nil {
+		db.txnDirty += len(group)
+	}
+	if db.txnDirty >= txnRotateEvery {
+		// Snapshot the carried-forward set BEFORE the shard syncs: an
+		// ID absent now finished phase 2 before them, so they make its
+		// prepare deletion durable and the new log may drop it.
+		db.txnDirty = 0
+		pending := make([]uint64, 0, len(db.txnPending))
+		for id := range db.txnPending {
+			pending = append(pending, id)
+		}
+		db.txnMu.Unlock()
+		db.rotateTxnLog(pending)
+		db.txnMu.Lock()
+	}
+	db.txnWriting = false
+	db.txnCond.Broadcast()
+}
+
+// appendCommits writes one commit record per request and syncs once.
+// The caller owns the log (txnWriting).
+func (db *DB) appendCommits(group []*commitReq) error {
+	if db.txnFile == nil {
+		return ErrClosed
+	}
 	rec := make([]byte, 9)
 	rec[0] = txnRecCommit
-	binary.BigEndian.PutUint64(rec[1:], id)
-	if err := db.txnLog.AddRecord(rec); err != nil {
-		return err
+	for _, r := range group {
+		binary.BigEndian.PutUint64(rec[1:], r.id)
+		if err := db.txnLog.AddRecord(rec); err != nil {
+			return err
+		}
 	}
 	if err := db.txnLog.Sync(); err != nil {
 		return err
 	}
 	if db.space != nil {
-		// Charge the appended record to the shared space budget (record
-		// framing is a few bytes, ignored — rotation re-measures).
-		db.space.GrowFile(metaSpaceKey(db.txnName), int64(len(rec)))
+		// Charge the appended records to the shared space budget
+		// (record framing is a few bytes, ignored — rotation
+		// re-measures).
+		db.space.GrowFile(metaSpaceKey(db.txnName), int64(len(rec)*len(group)))
 	}
 	return nil
+}
+
+// closeTxnLog syncs and closes the coordinator log once no commit
+// group is writing it; later commits fail with ErrClosed.
+func (db *DB) closeTxnLog() error {
+	db.txnMu.Lock()
+	for db.txnWriting {
+		db.txnCond.Wait()
+	}
+	db.txnWriting = true
+	db.txnMu.Unlock()
+	var err error
+	if db.txnFile != nil {
+		err = db.txnLog.Sync()
+		_ = db.txnFile.Close()
+		db.txnFile = nil
+	}
+	db.txnMu.Lock()
+	db.txnWriting = false
+	db.txnCond.Broadcast()
+	db.txnMu.Unlock()
+	return err
 }
 
 // metaSpaceKey namespaces coordinator files in the shared space
@@ -284,8 +360,8 @@ func (db *DB) loadTxnLog() (committed map[uint64]bool, maxEpoch uint32, err erro
 
 // writeTxnLog creates a fresh coordinator log carrying epoch and the
 // still-pending committed IDs, atomically repoints TXNCUR at it, and
-// removes the previous log. Called with txnMu held (or before the DB
-// is shared).
+// removes the previous log. Called by the owner of the log (a commit
+// leader, or Open before the DB is shared).
 func (db *DB) writeTxnLog(epoch uint32, gen int, pending []uint64) error {
 	name := txnLogName(epoch, gen)
 	f, err := db.metaFS.Create(name)
@@ -355,23 +431,19 @@ func (db *DB) writeTxnLog(epoch uint32, gen int, pending []uint64) error {
 	return nil
 }
 
-// rotateTxnLogLocked compacts the coordinator log: forces every
-// shard's WAL down so completed phase-2 prepare deletions are durable,
-// then rewrites the log with only the still-pending IDs. Failures are
-// non-fatal — the old log just keeps growing until the next attempt.
-// Caller holds txnMu.
-func (db *DB) rotateTxnLogLocked() {
-	db.txnDirty = 0
+// rotateTxnLog compacts the coordinator log: forces every shard's WAL
+// down so completed phase-2 prepare deletions are durable, then
+// rewrites the log with only pending, the IDs still in phase 2 when
+// the rotation began. Failures are non-fatal — the old log just keeps
+// growing until the next attempt. The caller owns the log
+// (txnWriting) and does not hold txnMu.
+func (db *DB) rotateTxnLog(pending []uint64) {
 	for _, s := range db.shards {
 		var sb batch.Batch
 		sb.Put(syncMarkerKey, nil)
 		if err := s.Apply(&sb, true); err != nil {
 			return // shard unhealthy; retry at a later rotation
 		}
-	}
-	pending := make([]uint64, 0, len(db.txnPending))
-	for id := range db.txnPending {
-		pending = append(pending, id)
 	}
 	db.txnGen++
 	if err := db.writeTxnLog(db.txnEpoch, db.txnGen, pending); err != nil {
@@ -430,8 +502,6 @@ func (db *DB) recoverTxns() error {
 	// Fresh epoch; nothing is pending after full resolution.
 	db.txnEpoch = maxEpoch + 1
 	db.txnGen = 0
-	db.txnMu.Lock()
-	defer db.txnMu.Unlock()
 	return db.writeTxnLog(db.txnEpoch, 0, nil)
 }
 

@@ -174,6 +174,7 @@ func (k *Kernel) exit(name string) {
 		delete(k.procs, name)
 	}
 	k.active--
+	k.checkActiveLocked()
 	k.advanceLocked()
 	k.mu.Unlock()
 }
@@ -182,7 +183,24 @@ func (k *Kernel) exit(name string) {
 // that was the last runnable process, advances virtual time.
 func (k *Kernel) blockLocked() {
 	k.active--
+	k.checkActiveLocked()
 	k.advanceLocked()
+}
+
+// checkActiveLocked panics once more processes have blocked or exited
+// than the kernel counts as runnable. The usual cause is a goroutine
+// started with the go statement instead of Go that slept or waited:
+// the kernel never counted it, so its blocking stole another process's
+// count and virtual time may already have advanced past running work.
+func (k *Kernel) checkActiveLocked() {
+	if k.active >= 0 {
+		return
+	}
+	msg := fmt.Sprintf("sim: runnable-process count went negative (%d) — an untracked goroutine slept or waited; live processes: %s",
+		k.active, k.procDumpLocked())
+	k.active++    // the caller unwinds with the panic
+	k.mu.Unlock() // as in advanceLocked: let deferred cleanup take the lock
+	panic(msg)
 }
 
 // wakeLocked marks one process runnable again and releases it.
@@ -209,8 +227,10 @@ func (k *Kernel) advanceLocked() {
 			return
 		}
 		// Release the kernel lock before panicking so deferred
-		// cleanup (e.g. Run's exit) can still take it.
+		// cleanup (e.g. Run's exit) can still take it. The blocked
+		// caller unwinds with the panic, so it is runnable again.
 		msg := "sim: deadlock — no runnable process and no pending event; live processes: " + k.procDumpLocked()
+		k.active++
 		k.mu.Unlock()
 		panic(msg)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -205,6 +206,34 @@ func TestDeadlockPanics(t *testing.T) {
 		c.Wait() // nobody will ever signal
 		m.Unlock()
 	})
+}
+
+// TestUntrackedSleepPanics: a goroutine started with the go statement
+// instead of Go is invisible to the kernel, so its Sleep takes away a
+// runnable count it never added. With no tracked process running the
+// count goes negative, and the kernel must panic with a process dump
+// rather than let virtual time run past live work.
+func TestUntrackedSleepPanics(t *testing.T) {
+	k := New(t0)
+	got := make(chan interface{}, 1)
+	go func() {
+		defer func() { got <- recover() }()
+		k.Sleep(time.Millisecond)
+	}()
+	var r interface{}
+	select {
+	case r = <-got:
+	case <-time.After(10 * time.Second):
+		t.Fatal("untracked Sleep neither returned nor panicked")
+	}
+	msg, ok := r.(string)
+	if !ok || !strings.Contains(msg, "went negative") || !strings.Contains(msg, "live processes") {
+		t.Fatalf("untracked Sleep: recovered %v, want the negative-count panic with a process dump", r)
+	}
+	// The panic released the kernel lock.
+	if e := k.Elapsed(); e != 0 {
+		t.Fatalf("virtual time advanced to %v", e)
+	}
 }
 
 func TestOnIdleHookSuppressesPanic(t *testing.T) {

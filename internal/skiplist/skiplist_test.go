@@ -224,3 +224,39 @@ func TestRandomHeightDistribution(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkSkiplistInsert measures one insert into a list already
+// holding about n entries (n to n+n/8 over each refill), with random
+// keys, as a memtable sees them.
+func BenchmarkSkiplistInsert(b *testing.B) {
+	for _, n := range []int{1 << 10, 4 << 10, 16 << 10} {
+		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			var seq uint64
+			key := func() []byte {
+				seq++
+				return ik(fmt.Sprintf("user%012d", rng.Int63n(1e12)), seq)
+			}
+			value := make([]byte, 100)
+			var s *SkipList
+			var pending [][]byte
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if len(pending) == 0 {
+					b.StopTimer()
+					s = New()
+					for j := 0; j < n; j++ {
+						s.Insert(key(), value)
+					}
+					for j := 0; j < n/8; j++ {
+						pending = append(pending, key())
+					}
+					b.StartTimer()
+				}
+				s.Insert(pending[len(pending)-1], value)
+				pending = pending[:len(pending)-1]
+			}
+		})
+	}
+}

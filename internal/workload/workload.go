@@ -6,10 +6,12 @@
 package workload
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"time"
 
+	"xpointdb/internal/batch"
 	"xpointdb/internal/clock"
 	"xpointdb/internal/histogram"
 )
@@ -18,6 +20,14 @@ import (
 type KV interface {
 	Get(key []byte) ([]byte, error)
 	Put(key, value []byte) error
+}
+
+// BatchKV is the surface a batch workload (Config.BatchKeys) drives: a
+// sharded store's atomic multi-key Apply and its MultiGet.
+type BatchKV interface {
+	KV
+	Apply(b *batch.Batch, syncWAL bool) error
+	MultiGet(keys ...[]byte) ([][]byte, []error)
 }
 
 // Config parameterizes one run.
@@ -57,6 +67,13 @@ type Config struct {
 	// keep the uniform generator.
 	Shards       int
 	HotShardSkew float64
+	// BatchKeys, when positive, turns every operation into an
+	// N-key batch spanning every shard (key j from shard j mod Shards,
+	// uniform within its slice of the keyspace): a read is one
+	// MultiGet, checked against Value, and a write is one synced
+	// atomic Apply. The store must implement BatchKV. Latency and op
+	// counts are per batch.
+	BatchKeys int
 }
 
 // BurstConfig describes periodic write bursts.
@@ -178,6 +195,14 @@ func Run(clk clock.Clock, db KV, cfg Config) *Result {
 			if cfg.Shards > 1 && cfg.HotShardSkew > 1 {
 				zipf = rand.NewZipf(rng, cfg.HotShardSkew, 1, uint64(cfg.Shards-1))
 			}
+			var bkv BatchKV
+			var idx []int
+			var ks [][]byte
+			if cfg.BatchKeys > 0 {
+				bkv = db.(BatchKV)
+				idx = make([]int, cfg.BatchKeys)
+				ks = make([][]byte, cfg.BatchKeys)
+			}
 			for {
 				now := clk.Now()
 				if !now.Before(end) {
@@ -206,7 +231,41 @@ func Run(clk clock.Clock, db KV, cfg Config) *Result {
 						i = lo + rng.Intn(hi-lo)
 					}
 				}
-				if rng.Float64() < readRatio {
+				if bkv != nil {
+					shards := max(cfg.Shards, 1)
+					for j := range idx {
+						s := j % shards
+						lo, hi := cfg.KeySpace*s/shards, cfg.KeySpace*(s+1)/shards
+						idx[j] = lo + rng.Intn(max(hi-lo, 1))
+						ks[j] = Key(idx[j])
+					}
+					if rng.Float64() < readRatio {
+						t0 := clk.Now()
+						vals, errs := bkv.MultiGet(ks...)
+						st.readLat.Record(clk.Now().Sub(t0))
+						st.reads++
+						for j, err := range errs {
+							switch {
+							case isNotFound(err):
+								st.misses++
+							case err != nil || !bytes.Equal(vals[j], Value(idx[j], cfg.ValueSize)):
+								st.errs++
+							}
+						}
+					} else {
+						b := new(batch.Batch)
+						for j, k := range ks {
+							b.Put(k, Value(idx[j], cfg.ValueSize))
+						}
+						t0 := clk.Now()
+						err := bkv.Apply(b, true)
+						st.writeLat.Record(clk.Now().Sub(t0))
+						st.writes++
+						if err != nil {
+							st.errs++
+						}
+					}
+				} else if rng.Float64() < readRatio {
 					t0 := clk.Now()
 					_, err := db.Get(Key(i))
 					st.readLat.Record(clk.Now().Sub(t0))

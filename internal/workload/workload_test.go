@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"xpointdb/internal/batch"
 	"xpointdb/internal/clock"
+	"xpointdb/internal/keys"
 	"xpointdb/internal/sim"
 )
 
@@ -242,3 +244,78 @@ type fakeDev struct{ k *sim.Kernel }
 
 func (d *fakeDev) Read(n int)  { d.k.Sleep(100 * time.Microsecond) }
 func (d *fakeDev) Write(n int) { d.k.Sleep(100 * time.Microsecond) }
+
+// batchKV adds Apply and MultiGet to mapKV and records how the runner
+// shaped each batch.
+type batchKV struct {
+	*mapKV
+	keySpace, shards    int
+	unsynced, misplaced int
+	applies, multiGets  int
+}
+
+func (kv *batchKV) checkSpread(ks [][]byte) {
+	for j, k := range ks {
+		s := j % kv.shards
+		lo, hi := string(Key(kv.keySpace*s/kv.shards)), string(Key(kv.keySpace*(s+1)/kv.shards))
+		if string(k) < lo || string(k) >= hi {
+			kv.misplaced++
+		}
+	}
+}
+
+func (kv *batchKV) Apply(b *batch.Batch, syncWAL bool) error {
+	var ks [][]byte
+	_ = b.Iterate(func(_ keys.Kind, k, v []byte) error {
+		ks = append(ks, k)
+		return kv.mapKV.Put(k, v)
+	})
+	kv.mu.Lock()
+	defer kv.mu.Unlock()
+	kv.applies++
+	if !syncWAL {
+		kv.unsynced++
+	}
+	kv.checkSpread(ks)
+	return nil
+}
+
+func (kv *batchKV) MultiGet(ks ...[]byte) ([][]byte, []error) {
+	vals := make([][]byte, len(ks))
+	errs := make([]error, len(ks))
+	for i, k := range ks {
+		vals[i], errs[i] = kv.mapKV.Get(k)
+	}
+	kv.mu.Lock()
+	defer kv.mu.Unlock()
+	kv.multiGets++
+	kv.checkSpread(ks)
+	return vals, errs
+}
+
+// TestBatchKeysSpanEveryShard: with BatchKeys set, every op is one
+// batch whose key j comes from shard j mod Shards; writes are synced
+// Applies and reads are MultiGets checked against Value.
+func TestBatchKeysSpanEveryShard(t *testing.T) {
+	const keySpace, shards = 400, 4
+	kv := &batchKV{mapKV: newMapKV(), keySpace: keySpace, shards: shards}
+	if err := Preload(kv, keySpace, 32); err != nil {
+		t.Fatal(err)
+	}
+	res := Run(clock.Real{}, kv, Config{
+		Workers: 2, ReadRatio: 0.5, Duration: 50 * time.Millisecond,
+		KeySpace: keySpace, ValueSize: 32, Seed: 1, Shards: shards, BatchKeys: 8,
+	})
+	if res.Reads == 0 || res.Writes == 0 {
+		t.Fatalf("reads=%d writes=%d, want both", res.Reads, res.Writes)
+	}
+	if int64(kv.applies) != res.Writes || int64(kv.multiGets) != res.Reads {
+		t.Fatalf("%d Applies / %d MultiGets for %d writes / %d reads", kv.applies, kv.multiGets, res.Writes, res.Reads)
+	}
+	if res.Errors != 0 || res.ReadMisses != 0 {
+		t.Fatalf("errors=%d misses=%d on a preloaded store", res.Errors, res.ReadMisses)
+	}
+	if kv.misplaced != 0 || kv.unsynced != 0 {
+		t.Fatalf("%d keys outside their shard's slice, %d unsynced batches", kv.misplaced, kv.unsynced)
+	}
+}
